@@ -48,7 +48,14 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# every example of a property test runs Spark jobs: no per-example
+# deadline, a fixed example sequence, and few examples keep tier-1
+# deterministic and cheap
+settings.register_profile("spark", deadline=None, derandomize=True, max_examples=10)
+settings.load_profile("spark")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 ``MoniLog`` wires the components end-to-end over Spark DataFrames:
 
 1. **Parse** — distributed Drain (with §IV structured-data extraction)
-   turns the raw message stream into ``(cluster_id, template)``;
+   turns the raw message stream into ``(cluster_id, template)``, matching
+   each line against the template catalogue ``fit`` learned;
 2. **Detect** — Spark sessionization structures sequences, the trained
    sequential (n-gram/DeepLog-style) + quantitative models score them
    (distributed via broadcast + ``mapInPandas``) and anomalous sessions
@@ -21,7 +22,9 @@ window (see :mod:`repro.streaming.pipeline`).
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -32,8 +35,9 @@ from repro.detect.ngram import NGramDetector
 from repro.detect.quantitative import ValueRangeDetector
 from repro.detect.scoring import score_sequences
 from repro.detect.sequences import session_sequences
-from repro.parsing.distributed import parse_distributed
-from repro.parsing.drain import extract_variables
+from repro.parsing.distributed import fold_misses, parse_partitions
+from repro.parsing.drain import Drain, extract_variables
+from repro.parsing.preprocess import preprocess
 
 
 @dataclasses.dataclass
@@ -56,31 +60,48 @@ class MoniLog:
         self.quant_model = ValueRangeDetector(k=self.config.quant_k)
         self.classifier = AnomalyClassifier()
         self.pools = PoolSystem()
+        self.catalogue = Drain(depth=self.config.depth, st=self.config.st)
         self._fitted = False
 
     # -- step 1: parsing --------------------------------------------------
-    def parse(self, raw: DataFrame) -> DataFrame:
-        """Raw stream (line_id, ts, source, message, session_id, ...) ->
-        structured stream with ``cluster_id``/``template`` columns."""
-        cfg = self.config
-        parsed, _ = parse_distributed(
-            raw, depth=cfg.depth, st=cfg.st, structured=cfg.structured)
-        return parsed
+    @contextlib.contextmanager
+    def parse(self, raw: DataFrame) -> Iterator[tuple[DataFrame, Drain]]:
+        """Parse a raw stream (line_id, ts, source, message, session_id,
+        ...) once against the template catalogue (empty before ``fit``).
+
+        Yields ``(parsed, misses)``: ``parsed`` is the structured stream,
+        every input column plus ``cluster_id``/``template``; ``misses`` is
+        the Drain tree the templates of unmatched lines were folded into
+        (with an empty catalogue, the catalogue ``fit`` keeps). The single
+        partition-local pass is persisted while the block runs, so actions
+        on ``parsed`` inside it do not parse again, and unpersisted when
+        the block exits.
+        """
+        local = parse_partitions(raw, self.catalogue,
+                                 structured=self.config.structured).persist()
+        try:
+            parsed, _, misses = fold_misses(local, self.catalogue)
+            yield parsed, misses
+        finally:
+            local.unpersist()
 
     @staticmethod
     def _event_col(parsed: DataFrame) -> DataFrame:
-        # the parser's template is the event identity for detection; it is
-        # stable across runs (unlike cluster ids, which depend on order)
+        # the parser's template is the event identity for detection: a
+        # known event keeps its catalogue template in every later parse
         return parsed.withColumnRenamed("template", "event_template")
 
     # -- step 2: detection ------------------------------------------------
     def fit(self, train_raw: DataFrame) -> "MoniLog":
-        """Train sequential + quantitative models on a normal stream."""
-        parsed = self._event_col(self.parse(train_raw))
-        seqs = session_sequences(parsed, event_col="event_template").toPandas()
+        """Learn the template catalogue and train the sequential +
+        quantitative models on a normal stream."""
+        self.catalogue = Drain(depth=self.config.depth, st=self.config.st)
+        with self.parse(train_raw) as (parsed, catalogue):
+            parsed = self._event_col(parsed)
+            seqs = session_sequences(parsed, event_col="event_template").toPandas()
+            rows = parsed.select("event_template", "message").toPandas()
+        self.catalogue = catalogue
         self.seq_model.fit([list(s) for s in seqs["events"]])
-        rows = parsed.select("event_template", "message").toPandas()
-        from repro.parsing.preprocess import preprocess
         self.quant_model.fit(
             (r.event_template,
              extract_variables(r.event_template,
@@ -93,13 +114,13 @@ class MoniLog:
         """Score a stream; returns (per-session predictions, reports)."""
         if not self._fitted:
             raise RuntimeError("call fit() before detect()")
-        parsed = self._event_col(self.parse(raw))
-        seq_df = session_sequences(parsed, event_col="event_template")
-        seq_pred = score_sequences(seq_df, self.seq_model).toPandas()
+        with self.parse(raw) as (parsed, _):
+            parsed = self._event_col(parsed)
+            seq_df = session_sequences(parsed, event_col="event_template")
+            seq_pred = score_sequences(seq_df, self.seq_model).toPandas()
+            lines = parsed.select("session_id", "source", "level",
+                                  "event_template", "message").toPandas()
 
-        from repro.parsing.preprocess import preprocess
-        lines = parsed.select("session_id", "source", "level",
-                              "event_template", "message").toPandas()
         quant_flags: dict[str, bool] = {}
         for r in lines.itertuples():
             if quant_flags.get(r.session_id):
@@ -112,14 +133,16 @@ class MoniLog:
         preds["quant_pred"] = [int(quant_flags.get(s, False)) for s in preds["session_id"]]
         preds["pred"] = ((preds["seq_pred"] == 1) | (preds["quant_pred"] == 1)).astype(int)
 
-        by_session = lines.groupby("session_id")
+        # one groupby pass: each session's line positions
+        at = lines.groupby("session_id", sort=False).indices
+        source, events, levels = (lines[c].to_numpy()
+                                  for c in ("source", "event_template", "level"))
         reports: list[AnomalyReport] = []
         for r in preds[preds["pred"] == 1].itertuples():
-            sess = by_session.get_group(r.session_id)
+            i = at[r.session_id]
             detector = "quant" if (r.quant_pred and not r.seq_pred) else "seq"
-            reports.append(make_report(
-                r.session_id, sess["source"].iloc[0],
-                sess["event_template"].tolist(), sess["level"].tolist(), detector))
+            reports.append(make_report(r.session_id, source[i[0]], events[i].tolist(),
+                                       levels[i].tolist(), detector))
         return preds, reports
 
     # -- step 3: classification -------------------------------------------

@@ -135,8 +135,8 @@ class Drain:
         return len(self._clusters)
 
     def match_only(self, message: str) -> tuple[int, str] | None:
-        """Match without mutating the tree (used by streaming executors
-        working against a broadcast snapshot)."""
+        """Match without mutating the tree (used by the distributed parse's
+        partitions against the read-only template catalogue)."""
         if self.preprocess is not None:
             message = self.preprocess(message)
         toks = tokenize(message)

@@ -6,9 +6,10 @@ exercises the same micro-batch dataflow, watermarking and stateful
 aggregation paths — DESIGN.md substitution 4):
 
 * **Stage A — parse**: a JSON file stream of raw log records is parsed
-  micro-batch by micro-batch inside ``foreachBatch`` with the
-  distributed Drain (partition-local trees + driver merge); the
-  structured stream (template column added) lands in a parquet dir.
+  micro-batch by micro-batch inside ``foreachBatch`` through the fitted
+  model (``MoniLog.parse``: one partition-local pass against the template
+  catalogue, plus a driver fold of the unmatched lines); the structured
+  stream (template column added) lands in a parquet dir.
 * **Stage B — structure + detect + classify**: a parquet file stream of
   structured records is watermarked on event time and aggregated with
   ``session_window`` (MoniLog's "windowed aggregation for sequence
@@ -17,16 +18,20 @@ aggregation paths — DESIGN.md substitution 4):
   every anomalous session becomes an :class:`AnomalyReport` routed
   through the §V classifier.
 
-Event identity across micro-batches is the *template string* (cluster
-ids are batch-local); templates converge quickly, and unseen templates
-at scoring time are exactly the §III instability case the detectors are
-measured on.
+Event identity is the *template string*. Every micro-batch is parsed
+against the catalogue ``fit`` learned and never changes, so a known event
+has the same template in every micro-batch as in batch ``detect``, and
+streaming predictions equal batch predictions on the same lines. Only the
+templates of lines the catalogue does not match are folded per
+micro-batch; they are unseen at scoring time, exactly the §III
+instability case the detectors are measured on.
 """
 from __future__ import annotations
 
 import json
 import os
 import threading
+import time
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -35,7 +40,6 @@ from pyspark.sql import types as T
 
 from repro.classify.pools import AnomalyReport, make_report
 from repro.core.monilog import MoniLog
-from repro.parsing.distributed import parse_distributed
 from repro.parsing.drain import extract_variables
 from repro.parsing.preprocess import preprocess
 
@@ -85,6 +89,13 @@ def write_stream_files(pdf: pd.DataFrame, directory: str, *, n_files: int = 4,
             "level": "INFO", "message": "flush", "session_id": FLUSH_SESSION,
         }) + "\n")
     paths.append(flush_path)
+    # the file source takes files oldest first by modification time, read
+    # at millisecond resolution; files written within one millisecond would
+    # leave their order to the directory listing, and a flush read early
+    # drops the rest of the stream as late
+    now = time.time()
+    for i, path in enumerate(paths):
+        os.utime(path, (now - len(paths) + i,) * 2)
     return paths
 
 
@@ -112,17 +123,12 @@ class StreamingMoniLog:
     def _parse_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         if batch_df.isEmpty():
             return
-        flush = batch_df.filter(F.col("session_id") == FLUSH_SESSION)
+        flush = (batch_df.filter(F.col("session_id") == FLUSH_SESSION)
+                 .withColumn("template", F.lit("flush")))
         payload = batch_df.filter(F.col("session_id") != FLUSH_SESSION)
-        out = None
-        if not payload.isEmpty():
-            cfg = self.monilog.config
-            parsed, _ = parse_distributed(payload, depth=cfg.depth, st=cfg.st,
-                                          structured=cfg.structured)
+        with self.monilog.parse(payload) as (parsed, _):
             out = parsed.select(*[f.name for f in RAW_SCHEMA.fields], "template")
-        fl = flush.withColumn("template", F.lit("flush"))
-        out = fl if out is None else out.unionByName(fl)
-        out.write.mode("append").parquet(self.structured_dir)
+            out.unionByName(flush).write.mode("append").parquet(self.structured_dir)
         with self._lock:
             self.batches_parsed += 1
 

@@ -80,3 +80,38 @@ def test_reports_and_classification(run):
 def test_multiple_microbatches_processed(run):
     _, sm = run
     assert sm.batches_parsed >= 3
+
+
+@pytest.fixture(scope="module")
+def batch_and_stream(spark, tmp_path_factory):
+    """Fit a model, detect 40 sessions in batch, then stream the same
+    lines in 2 files; the persistent RDDs left afterwards are returned."""
+    spark.catalog.clearCache()  # caches other test modules left behind
+    train = generate(StreamSpec(n_sessions=200, n_sources=8, anomaly_rate=0.0, seed=4))
+    ml = MoniLog(spark).fit(spark.createDataFrame(train))
+    test = generate(StreamSpec(n_sessions=40, n_sources=8, anomaly_rate=0.05,
+                               session_spread_s=400.0, seed=5))
+    batch, _ = ml.detect(spark.createDataFrame(test))
+    work = str(tmp_path_factory.mktemp("monilog-batch-vs-stream"))
+    inp = os.path.join(work, "input")
+    write_stream_files(test, inp, n_files=2)
+    sm = StreamingMoniLog(ml, work, session_gap="30 seconds", watermark="10 seconds")
+    qp, qd = sm.start(inp)
+    try:
+        sm.drain(qp, qd, rounds=8)
+    finally:
+        qp.stop()
+        qd.stop()
+    return batch, sm.predictions(), dict(spark.sparkContext._jsc.getPersistentRDDs())
+
+
+def test_streaming_predictions_equal_batch_detect(batch_and_stream):
+    batch, streamed, _ = batch_and_stream
+    assert len(streamed) == len(batch) == 40
+    assert (streamed.set_index("session_id")["pred"].to_dict()
+            == batch.set_index("session_id")["pred"].to_dict())
+
+
+def test_no_parse_cache_left_behind(batch_and_stream):
+    *_, persistent = batch_and_stream
+    assert persistent == {}
