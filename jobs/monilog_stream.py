@@ -23,12 +23,11 @@ if __name__ == "__main__":
         inp = os.path.join(work, "input")
         write_stream_files(test, inp, n_files=6)
         sm = StreamingMoniLog(ml, work)
-        qp, qd = sm.start(inp)
+        q, _ = sm.start(inp)
         try:
-            sm.drain(qp, qd, rounds=8)
+            sm.drain(q)
         finally:
-            qp.stop()
-            qd.stop()
+            q.stop()
         preds = sm.predictions()
         truth = test.groupby("session_id")["is_anomaly"].any().astype(int)
         merged = preds.set_index("session_id").join(truth.rename("y"))

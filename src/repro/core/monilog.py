@@ -16,9 +16,9 @@ Training (``fit``) consumes an *anomaly-free* stream — the deployment
 regime the paper argues for in §III (labelled anomalies are rare and
 injecting them is error-prone).
 
-The batch API here is the unit of the streaming pipeline: Structured
-Streaming drives exactly these functions per micro-batch / closed
-window (see :mod:`repro.streaming.pipeline`).
+The streaming pipeline (:mod:`repro.streaming.pipeline`) runs the same
+catalogue parse and the same trained models per micro-batch and closed
+session window.
 """
 from __future__ import annotations
 

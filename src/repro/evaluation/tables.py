@@ -450,7 +450,8 @@ def run_table8(spark: SparkSession, *, n_sessions: int = 2000,
     """§II requires every component to be distributable. Two measurements:
     single-node vs partition-parallel Drain parse throughput, and the
     end-to-end Structured Streaming pipeline's throughput at different
-    shuffle-partition settings."""
+    shuffle-partition settings; its streaming rows record the state
+    partitions the query ran with, the setting capped at the task slots."""
     import os
     import shutil
     import tempfile
@@ -497,6 +498,7 @@ def run_table8(spark: SparkSession, *, n_sessions: int = 2000,
                                anomaly_rate=0.05, session_spread_s=400.0,
                                seed=seed + 2))
     old_parts = spark.conf.get("spark.sql.shuffle.partitions")
+    slots = spark.sparkContext.defaultParallelism
     try:
         for p in shuffle_partitions:
             spark.conf.set("spark.sql.shuffle.partitions", str(p))
@@ -507,19 +509,20 @@ def run_table8(spark: SparkSession, *, n_sessions: int = 2000,
                 sm = StreamingMoniLog(ml, work, session_gap="30 seconds",
                                       watermark="5 seconds")
                 t0 = time.perf_counter()
-                qp, qd = sm.start(inp, max_files_per_trigger=1)
+                q, _ = sm.start(inp, max_files_per_trigger=1)
                 try:
-                    sm.drain(qp, qd, rounds=6)
+                    sm.drain(q)
                 finally:
-                    qp.stop()
-                    qd.stop()
+                    q.stop()
                 dt = time.perf_counter() - t0
                 rows.append({"stage": "streaming end-to-end",
-                             "partitions": p, "lines": len(test),
-                             "seconds": round(dt, 2),
+                             "partitions": p, "state_partitions": min(p, slots),
+                             "lines": len(test), "seconds": round(dt, 2),
                              "lines_per_s": int(len(test) / dt)})
             finally:
                 shutil.rmtree(work, ignore_errors=True)
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", old_parts)
-    return pd.DataFrame(rows)
+    table = pd.DataFrame(rows).astype({"state_partitions": "Int64"})
+    return table[["stage", "partitions", "state_partitions", "lines", "seconds",
+                  "lines_per_s"]]

@@ -12,7 +12,8 @@ all four over a generated stream (a pandas frame from
   (word swapped / inserted), so the line no longer matches the trained
   template text but keeps its meaning; the GT event id is suffixed with
   ``~`` so detectors that cannot re-map unseen templates break.
-* ``dup`` — a line is duplicated (pipeline noise).
+* ``dup`` — a line is duplicated (pipeline noise); the copy gets a fresh
+  ``line_id`` above the stream's.
 * ``shuffle`` — two adjacent lines of one session swap order (delay).
 
 ``inject(pdf, ratio, ...)`` alters ``ratio`` of lines, split evenly
@@ -96,7 +97,11 @@ def inject(pdf: pd.DataFrame, ratio: float, *, kinds: tuple[str, ...] = KINDS,
                 out.loc[idx, cols] = out.loc[j, cols].to_numpy()
                 out.loc[j, cols] = tmp.to_numpy()
     if dup_rows:
-        out = pd.concat([out, pd.DataFrame(dup_rows)], ignore_index=True)
+        # fresh ids above the stream's; a copy sorts beside its original
+        # by (ts, line_id) all the same
+        dups = pd.DataFrame(dup_rows)
+        dups["line_id"] = out["line_id"].max() + 1 + np.arange(len(dups))
+        out = pd.concat([out, dups], ignore_index=True)
         out = out.sort_values(["arrival_ts", "line_id"], kind="stable").reset_index(drop=True)
     return out, counts
 

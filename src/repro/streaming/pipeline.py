@@ -1,30 +1,40 @@
 """MoniLog as a Structured Streaming dataflow (§II, Fig. 1).
 
-Two chained streaming queries reproduce the three-step architecture over
-a multi-source file stream (the container has no Kafka; a file source
+One streaming query reproduces the three-step architecture over a
+multi-source file stream (the container has no Kafka; a file source
 exercises the same micro-batch dataflow, watermarking and stateful
-aggregation paths — DESIGN.md substitution 4):
+aggregation paths — DESIGN.md substitution 4)::
 
-* **Stage A — parse**: a JSON file stream of raw log records is parsed
-  micro-batch by micro-batch inside ``foreachBatch`` through the fitted
-  model (``MoniLog.parse``: one partition-local pass against the template
-  catalogue, plus a driver fold of the unmatched lines); the structured
-  stream (template column added) lands in a parquet dir.
-* **Stage B — structure + detect + classify**: a parquet file stream of
-  structured records is watermarked on event time and aggregated with
-  ``session_window`` (MoniLog's "windowed aggregation for sequence
-  structuring"); each *closed* session window is scored by the
-  broadcast sequential + quantitative models in ``foreachBatch``, and
-  every anomalous session becomes an :class:`AnomalyReport` routed
+    readStream.json → parse_partitions → withWatermark
+        → groupBy(session_window, session_id).collect_list
+        → foreachBatch(score + classify)
+
+* **Parse**: every micro-batch is parsed inside the plan by distributed
+  Drain's single partition-local pass against the template catalogue
+  ``fit`` learned (:func:`~repro.parsing.distributed.parse_partitions`);
+  no driver action runs. A catalogue hit has the same template in every
+  micro-batch as in batch ``detect``. A miss keeps the final template of
+  its partition-local Drain tree: batch ``detect`` folds the miss
+  templates on the driver, which is a Spark action and cannot run in the
+  middle of a streaming plan. Both detectors see a miss as an unseen
+  event either way (the n-gram model flags any event outside its
+  vocabulary, the quantitative model has no range for its template), so
+  streaming predictions equal batch predictions on the same lines; only
+  the template text of a miss in a report differs from batch.
+* **Structure + detect + classify**: the parsed stream is watermarked on
+  event time and aggregated with ``session_window`` (MoniLog's "windowed
+  aggregation for sequence structuring"); each *closed* session window
+  is scored by the sequential + quantitative models in ``foreachBatch``,
+  and every anomalous session becomes an :class:`AnomalyReport` routed
   through the §V classifier.
 
-Event identity is the *template string*. Every micro-batch is parsed
-against the catalogue ``fit`` learned and never changes, so a known event
-has the same template in every micro-batch as in batch ``detect``, and
-streaming predictions equal batch predictions on the same lines. Only the
-templates of lines the catalogue does not match are folded per
-micro-batch; they are unseen at scoring time, exactly the §III
-instability case the detectors are measured on.
+The session-window state is split over ``spark.sql.shuffle.partitions``
+state-store partitions, and every trigger loads and commits each of them,
+with data or without; streaming does not coalesce them as adaptive
+execution does for a batch shuffle. :meth:`StreamingMoniLog.start`
+therefore starts the query with no more state partitions than the
+context has task slots. The checkpoint records the count, so a restart
+keeps it.
 """
 from __future__ import annotations
 
@@ -34,12 +44,14 @@ import threading
 import time
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.streaming import StreamingQuery
 
 from repro.classify.pools import AnomalyReport, make_report
 from repro.core.monilog import MoniLog
+from repro.parsing.distributed import parse_partitions
 from repro.parsing.drain import extract_variables
 from repro.parsing.preprocess import preprocess
 
@@ -50,10 +62,6 @@ RAW_SCHEMA = T.StructType([
     T.StructField("level", T.StringType()),
     T.StructField("message", T.StringType()),
     T.StructField("session_id", T.StringType()),
-])
-
-STRUCTURED_SCHEMA = T.StructType(RAW_SCHEMA.fields + [
-    T.StructField("template", T.StringType()),
 ])
 
 FLUSH_SESSION = "__flush__"
@@ -111,28 +119,12 @@ class StreamingMoniLog:
         self.workdir = workdir
         self.session_gap = session_gap
         self.watermark = watermark
-        self.structured_dir = os.path.join(workdir, "structured")
-        self.checkpoints = os.path.join(workdir, "checkpoints")
-        os.makedirs(self.structured_dir, exist_ok=True)
+        self.checkpoint = os.path.join(workdir, "checkpoint")
         self.results: list[dict] = []
         self.reports: list[AnomalyReport] = []
-        self.batches_parsed = 0
         self._lock = threading.Lock()
 
-    # -- stage A ----------------------------------------------------------
-    def _parse_batch(self, batch_df: DataFrame, batch_id: int) -> None:
-        if batch_df.isEmpty():
-            return
-        flush = (batch_df.filter(F.col("session_id") == FLUSH_SESSION)
-                 .withColumn("template", F.lit("flush")))
-        payload = batch_df.filter(F.col("session_id") != FLUSH_SESSION)
-        with self.monilog.parse(payload) as (parsed, _):
-            out = parsed.select(*[f.name for f in RAW_SCHEMA.fields], "template")
-            out.unionByName(flush).write.mode("append").parquet(self.structured_dir)
-        with self._lock:
-            self.batches_parsed += 1
-
-    # -- stage B ----------------------------------------------------------
+    # -- detect + classify, per micro-batch of closed session windows -----
     def _score_batch(self, batch_df: DataFrame, batch_id: int) -> None:
         pdf = batch_df.toPandas()
         if pdf.empty:
@@ -165,38 +157,44 @@ class StreamingMoniLog:
                     self.reports.append(report)
 
     # -- wiring -----------------------------------------------------------
-    def start(self, input_dir: str, *, max_files_per_trigger: int = 1):
-        """Start both queries; returns (parse_query, detect_query)."""
+    def start(self, input_dir: str, *, max_files_per_trigger: int = 1
+              ) -> tuple[StreamingQuery, StreamingQuery]:
+        """Start the pipeline's one query. Returns it twice, as the pair
+        ``(parse, detect)`` the two-query pipeline returned."""
         spark = self.monilog.spark
         raw = (spark.readStream.schema(RAW_SCHEMA)
                .option("maxFilesPerTrigger", max_files_per_trigger)
                .json(input_dir))
-        q_parse = (raw.writeStream
-                   .foreachBatch(self._parse_batch)
-                   .option("checkpointLocation", os.path.join(self.checkpoints, "parse"))
-                   .start())
-
-        structured = (spark.readStream.schema(STRUCTURED_SCHEMA)
-                      .option("maxFilesPerTrigger", 64)
-                      .parquet(self.structured_dir))
-        sessions = (structured
+        parsed = parse_partitions(raw, self.monilog.catalogue,
+                                  structured=self.monilog.config.structured)
+        sessions = (parsed
                     .withWatermark("ts", self.watermark)
                     .groupBy(F.session_window(F.col("ts"), self.session_gap),
                              F.col("session_id"))
                     .agg(F.collect_list(F.struct("ts", "line_id", "source", "level",
                                                  "message", "template")).alias("lines")))
-        q_detect = (sessions.writeStream
-                    .outputMode("append")
-                    .foreachBatch(self._score_batch)
-                    .option("checkpointLocation", os.path.join(self.checkpoints, "detect"))
-                    .start())
-        return q_parse, q_detect
+        # a query takes its state partition count from the session conf
+        # when it starts; one state partition per task slot at most
+        key = "spark.sql.shuffle.partitions"
+        session_parts = spark.conf.get(key)
+        spark.conf.set(key, str(min(int(session_parts),
+                                    spark.sparkContext.defaultParallelism)))
+        try:
+            query = (sessions.writeStream
+                     .outputMode("append")
+                     .foreachBatch(self._score_batch)
+                     .option("checkpointLocation", self.checkpoint)
+                     .start())
+        finally:
+            spark.conf.set(key, session_parts)
+        return query, query
 
-    def drain(self, q_parse, q_detect, *, rounds: int = 6) -> None:
-        """Process everything currently available through both stages."""
+    def drain(self, *queries: StreamingQuery, rounds: int = 1) -> None:
+        """Process everything currently available, ``rounds`` times over
+        each distinct query."""
         for _ in range(rounds):
-            q_parse.processAllAvailable()
-            q_detect.processAllAvailable()
+            for q in dict.fromkeys(queries):
+                q.processAllAvailable()
 
     def predictions(self) -> pd.DataFrame:
         with self._lock:

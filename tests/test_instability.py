@@ -67,6 +67,14 @@ def test_dup_adds_rows(stream):
     assert len(out) == len(stream) + counts["dup"]
 
 
+def test_dup_rows_get_fresh_line_ids(stream):
+    out, counts = instability.inject(stream, 0.1, kinds=("dup",))
+    assert counts["dup"] > 0
+    assert out["line_id"].is_unique
+    # the originals keep their ids
+    assert set(stream["line_id"]) <= set(out["line_id"])
+
+
 def test_shuffle_preserves_multiset_of_events(stream):
     out, _ = instability.inject(stream, 0.15, kinds=("shuffle",))
     before = sorted(stream["event_id"])

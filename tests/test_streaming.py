@@ -1,6 +1,7 @@
 """Integration tests for the Structured Streaming pipeline (streaming.pipeline)."""
 import json
 import os
+import shutil
 
 import pytest
 
@@ -25,13 +26,12 @@ def run(spark, fitted, tmp_path_factory):
     inp = os.path.join(work, "input")
     write_stream_files(test, inp, n_files=3)
     sm = StreamingMoniLog(fitted, work, session_gap="30 seconds", watermark="5 seconds")
-    qp, qd = sm.start(inp)
+    q, _ = sm.start(inp)
     try:
-        sm.drain(qp, qd, rounds=8)
+        sm.drain(q)
     finally:
-        qp.stop()
-        qd.stop()
-    return test, sm
+        q.stop()
+    return test, sm, q
 
 
 def test_write_stream_files_layout(tmp_path):
@@ -53,7 +53,7 @@ def test_requires_fitted_model(spark, tmp_path):
 
 
 def test_every_session_scored_exactly_once(run):
-    test, sm = run
+    test, sm, _ = run
     preds = sm.predictions()
     assert len(preds) == test["session_id"].nunique()
     assert preds["session_id"].is_unique
@@ -61,7 +61,7 @@ def test_every_session_scored_exactly_once(run):
 
 
 def test_streaming_detection_quality(run):
-    test, sm = run
+    test, sm, _ = run
     preds = sm.predictions()
     truth = test.groupby("session_id")["is_anomaly"].any().astype(int)
     merged = preds.set_index("session_id").join(truth.rename("y"))
@@ -71,15 +71,60 @@ def test_streaming_detection_quality(run):
 
 
 def test_reports_and_classification(run):
-    _, sm = run
+    _, sm, _ = run
     assert len(sm.reports) == int(sm.predictions()["pred"].sum())
     stats = sm.monilog.pools.stats()
     assert sum(stats.values()) == len(sm.reports)
 
 
 def test_multiple_microbatches_processed(run):
-    _, sm = run
-    assert sm.batches_parsed >= 3
+    *_, q = run
+    assert sum(p.numInputRows > 0 for p in q.recentProgress) >= 3
+
+
+def test_state_partitions_capped_at_task_slots(spark, run):
+    *_, q = run
+    slots = spark.sparkContext.defaultParallelism
+    ops = [op for p in q.recentProgress for op in p.stateOperators]
+    assert ops and all(op.numShufflePartitions <= slots for op in ops)
+    # start() lowers the setting for its own query only
+    assert spark.conf.get("spark.sql.shuffle.partitions") == os.environ.get(
+        "SPARK_SHUFFLE_PARTITIONS", "64")
+
+
+@pytest.fixture(scope="module")
+def late(fitted, tmp_path_factory):
+    """Stream 20 sessions and the flush record, then a file of records
+    older than the watermark the flush advanced."""
+    work = str(tmp_path_factory.mktemp("monilog-late"))
+    test = generate(StreamSpec(n_sessions=20, n_sources=2, anomaly_rate=0.0, seed=82))
+    inp = os.path.join(work, "input")
+    write_stream_files(test, inp, n_files=1)
+    late_rows = test.head(10).assign(session_id=lambda d: "late-" + d["session_id"])
+    sm = StreamingMoniLog(fitted, work, session_gap="30 seconds", watermark="5 seconds")
+    q, _ = sm.start(inp)
+    try:
+        sm.drain(q)
+        scored = sm.predictions()
+        # copied, so the file is newer than the flush and read after it
+        path = write_stream_files(late_rows, os.path.join(work, "late"), n_files=1)[0]
+        shutil.copy(path, os.path.join(inp, "late.json"))
+        sm.drain(q)
+    finally:
+        q.stop()
+    return late_rows, scored, sm, q
+
+
+def test_late_rows_counted_not_scored(late):
+    late_rows, scored, sm, q = late
+    dropped = sum(op.numRowsDroppedByWatermark
+                  for p in q.recentProgress for op in p.stateOperators)
+    assert dropped > 0
+    preds = sm.predictions()
+    assert not set(late_rows["session_id"]) & set(preds["session_id"])
+    assert preds["session_id"].is_unique
+    assert len(scored) == 20
+    assert preds.equals(scored)
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +141,11 @@ def batch_and_stream(spark, tmp_path_factory):
     inp = os.path.join(work, "input")
     write_stream_files(test, inp, n_files=2)
     sm = StreamingMoniLog(ml, work, session_gap="30 seconds", watermark="10 seconds")
-    qp, qd = sm.start(inp)
+    q, _ = sm.start(inp)
     try:
-        sm.drain(qp, qd, rounds=8)
+        sm.drain(q)
     finally:
-        qp.stop()
-        qd.stop()
+        q.stop()
     return batch, sm.predictions(), dict(spark.sparkContext._jsc.getPersistentRDDs())
 
 
